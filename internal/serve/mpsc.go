@@ -22,7 +22,7 @@ type mpscSlot struct {
 // queue specialized to one consumer), replacing the per-shard Go channel
 // on the submit hot path: producers contend only on one tail CAS and the
 // slot they won, never on a channel lock, and a batch of observations can
-// reserve its slots with a single CAS (enqueueN).
+// reserve its slots with a single CAS (enqueueBatch).
 //
 // The consumer parks on a 1-token wake channel when the ring is empty.
 // The parked flag and the slot sequence stores are all seq-cst atomics,
@@ -40,8 +40,10 @@ type mpsc struct {
 	head uint64 // consumer-private: next slot to read
 	_    [cacheLine - 8]byte
 	// headPub is the consumer's published progress. Producers read it to
-	// size multi-slot reservations; it may lag head, which only makes
-	// enqueueN conservative (it under-counts free slots, never over).
+	// size multi-slot reservations; it may lag head. enqueueBatch clamps
+	// tail-headPub at the capacity (the exact single-slot path can push
+	// tail past headPub+capacity), so the lag only under-counts free
+	// slots, never over.
 	headPub atomic.Uint64
 	_       [cacheLine - 8]byte
 	parked  atomic.Bool
@@ -96,14 +98,21 @@ func (q *mpsc) enqueue(t task) bool {
 // may lag the consumer — so a near-full ring can under-accept, but a
 // reservation never claims a slot the consumer hasn't freed (the single
 // consumer frees slots strictly in order, so free space behind headPub is
-// contiguous). When the conservative estimate says "full", one exact
-// single-slot attempt distinguishes a truly full ring from a stale
-// estimate.
+// contiguous). A batch claims [pos, pos+k) only when pos+k <=
+// headPub+capacity; tail itself may run further ahead through the exact
+// single-slot path, so a distance pos-headPub of at least the capacity
+// (or a headPub read after the consumer passed pos, which wraps the
+// unsigned distance) counts as no free space. When the conservative
+// estimate says "full", one exact single-slot attempt distinguishes a
+// truly full ring from a stale estimate.
 func (q *mpsc) enqueueBatch(st *station, values []float64, reply func(Verdict), t0 int64) int {
 	want := uint64(len(values))
 	for {
 		pos := q.tail.Load()
-		free := uint64(len(q.slots)) - (pos - q.headPub.Load())
+		var free uint64
+		if used := pos - q.headPub.Load(); used < uint64(len(q.slots)) {
+			free = uint64(len(q.slots)) - used
+		}
 		k := want
 		if k > free {
 			k = free
@@ -141,7 +150,7 @@ func (q *mpsc) dequeue() (t task, ok bool) {
 	return t, true
 }
 
-// publishHead exposes the consumer's progress to enqueueN reservations.
+// publishHead exposes the consumer's progress to enqueueBatch reservations.
 // Called once per drain batch (and before parking) rather than per slot,
 // so the producers' line is not invalidated on every dequeue.
 func (q *mpsc) publishHead() { q.headPub.Store(q.head) }

@@ -86,6 +86,44 @@ func TestMPSCEnqueueBatch(t *testing.T) {
 	}
 }
 
+// TestMPSCBatchStaleHeadPub builds the state in which the exact
+// single-slot path has pushed tail past headPub+capacity (the consumer
+// dequeued without publishing its head yet). A batch sized from the stale
+// headPub must then claim nothing, rather than wrap its free-space
+// estimate and reserve slots that still hold unconsumed tasks.
+func TestMPSCBatchStaleHeadPub(t *testing.T) {
+	q := newMPSC(8)
+	for i := 0; i < 8; i++ {
+		if !q.enqueue(mkTask(float64(i))) {
+			t.Fatalf("enqueue %d rejected below capacity", i)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if got, ok := q.dequeue(); !ok || got.value != float64(i) {
+			t.Fatalf("dequeue %d = %v ok=%v", i, got.value, ok)
+		}
+	}
+	// No publishHead: headPub stays 0 while the exact path refills the
+	// four freed slots, leaving tail = headPub + 12.
+	for i := 8; i < 12; i++ {
+		if !q.enqueue(mkTask(float64(i))) {
+			t.Fatalf("enqueue %d rejected with a freed slot", i)
+		}
+	}
+	if n := q.enqueueBatch(nil, []float64{98, 99}, nil, 0); n != 0 {
+		t.Fatalf("batch accepted %d into a full ring", n)
+	}
+	for i := 4; i < 12; i++ {
+		got, ok := q.dequeue()
+		if !ok || got.value != float64(i) {
+			t.Fatalf("dequeue = %v ok=%v, want %d", got.value, ok, i)
+		}
+	}
+	if _, ok := q.dequeue(); ok {
+		t.Fatal("dequeue returned a task from a drained ring")
+	}
+}
+
 // TestMPSCConcurrent exercises the full producer/consumer protocol under
 // -race: P producers (mixing single and batch enqueue) against the
 // parked-consumer wake dance, asserting nothing is lost, nothing is
